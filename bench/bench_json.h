@@ -59,19 +59,10 @@ inline void write_bench_json(const std::string& path, const std::string& bench,
   const std::uint64_t model_reuse = agg.get("solver.model_reuse");
   const std::uint64_t model_replays = agg.get("solver.model_replays");
   const std::uint64_t domain_memo_hits = agg.get("solver.domain_memo_hits");
-  // Subsumption / fingerprint hit classes (executor.cc): states terminated
-  // at block entry without solver work, plus the denominator (forked +
-  // activated states) the ≥15% pruning target in EXPERIMENTS.md is
-  // measured against.
-  const std::uint64_t subsumed_unsat = agg.get("executor.subsumed_unsat");
+  // Barren subsumption (executor.cc): states terminated at block entry
+  // without solver work, plus the denominator (forked states) the ≥15%
+  // pruning target in EXPERIMENTS.md is measured against.
   const std::uint64_t subsumed_barren = agg.get("executor.subsumed_barren");
-  const std::uint64_t subsumed_seedstates =
-      agg.get("executor.subsumed_seedstates");
-  const std::uint64_t fingerprint_kills = agg.get("executor.fingerprint_kills");
-  const std::uint64_t fingerprint_shared_kills =
-      agg.get("executor.fingerprint_shared_kills");
-  const std::uint64_t interpolants_published =
-      agg.get("solver.interpolants_published");
   const std::uint64_t states_forked = agg.get("executor.forks");
   // Static-analysis pruning (DESIGN.md §12): forks killed on statically-
   // infeasible edges (no solver query at all) and the phase scheduler's
@@ -115,18 +106,8 @@ inline void write_bench_json(const std::string& path, const std::string& bench,
                static_cast<unsigned long long>(model_replays));
   std::fprintf(f, "    \"domain_memo_hits\": %llu,\n",
                static_cast<unsigned long long>(domain_memo_hits));
-  std::fprintf(f, "    \"subsumed_unsat\": %llu,\n",
-               static_cast<unsigned long long>(subsumed_unsat));
   std::fprintf(f, "    \"subsumed_barren\": %llu,\n",
                static_cast<unsigned long long>(subsumed_barren));
-  std::fprintf(f, "    \"subsumed_seedstates\": %llu,\n",
-               static_cast<unsigned long long>(subsumed_seedstates));
-  std::fprintf(f, "    \"fingerprint_kills\": %llu,\n",
-               static_cast<unsigned long long>(fingerprint_kills));
-  std::fprintf(f, "    \"fingerprint_shared_kills\": %llu,\n",
-               static_cast<unsigned long long>(fingerprint_shared_kills));
-  std::fprintf(f, "    \"interpolants_published\": %llu,\n",
-               static_cast<unsigned long long>(interpolants_published));
   std::fprintf(f, "    \"static_edge_kills\": %llu,\n",
                static_cast<unsigned long long>(static_edge_kills));
   std::fprintf(f, "    \"phase_targets\": %llu,\n",

@@ -4,11 +4,10 @@
 Wall-clock fields (wall_seconds) vary run to run and are ignored; coverage,
 ticks, bug counts, and solver-cache counters — including the incremental
 pipeline's hit classes (partition_hits, model_reuse, model_replays,
-domain_memo_hits), the subsumption layer's kill classes (subsumed_*,
-fingerprint_kills, interpolants_published) and the static-analysis pruning
-counters (static_edge_kills, phase_targets, pruned_phase_targets) — are
-virtual-clock-deterministic
-for a fixed bench configuration, so any drift is a real behaviour change and
+domain_memo_hits), the barren-subsumption kill count (subsumed_barren) and
+the static-analysis pruning counters (static_edge_kills, phase_targets,
+pruned_phase_targets) — are virtual-clock-deterministic for a fixed bench
+configuration, so any drift is a real behaviour change and
 fails the check.
 Usage: bench_diff.py <golden.json> <fresh.json>
 """
@@ -29,12 +28,7 @@ SOLVER_CACHE_KEYS = (
     "model_reuse",
     "model_replays",
     "domain_memo_hits",
-    "subsumed_unsat",
     "subsumed_barren",
-    "subsumed_seedstates",
-    "fingerprint_kills",
-    "fingerprint_shared_kills",
-    "interpolants_published",
     "static_edge_kills",
     "phase_targets",
     "pruned_phase_targets",

@@ -204,7 +204,7 @@ void CampaignCodec::encode_executor(StateCodec& codec, Encoder& enc,
   enc.u64(ex.live_states_);
   enc.u32(ex.input_object_);
   encode_u64_set(enc, ex.concolic_seen_forks_);
-  encode_u64_set(enc, ex.seen_fingerprints_);
+  encode_core_map(enc, ex.interpolants_.raw_barren());
 }
 
 void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
@@ -268,7 +268,15 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
   ex.live_states_ = dec.u64();
   ex.input_object_ = dec.u32();
   ex.concolic_seen_forks_ = decode_u64_set(dec);
-  ex.seen_fingerprints_ = decode_u64_set(dec);
+  ex.interpolants_.clear();
+  const std::uint32_t nkeys = dec.u32();
+  for (std::uint32_t i = 0; i < nkeys; ++i) {
+    const std::uint64_t key = dec.u64();
+    auto& list = ex.interpolants_.mutable_barren(key);
+    const std::uint32_t len = dec.u32();
+    list.reserve(len);
+    for (std::uint32_t j = 0; j < len; ++j) list.push_back(decode_core(dec));
+  }
 }
 
 // --- Solver L1 stores -----------------------------------------------------
@@ -335,10 +343,6 @@ void CampaignCodec::encode_solver(StateCodec& codec, Encoder& enc,
       }
     }
   }
-  // Interpolant table; then the current filing location.
-  encode_core_map(enc, solver.interpolants_.raw_unsat());
-  encode_core_map(enc, solver.interpolants_.raw_barren());
-  enc.u64(solver.interpolant_location_);
 }
 
 void CampaignCodec::decode_solver(StateCodec& codec, Decoder& dec,
@@ -391,19 +395,6 @@ void CampaignCodec::decode_solver(StateCodec& codec, Decoder& dec,
       }
     }
   }
-  solver.interpolants_.clear();
-  for (int which = 0; which < 2; ++which) {
-    const std::uint32_t nkeys = dec.u32();
-    for (std::uint32_t i = 0; i < nkeys; ++i) {
-      const std::uint64_t key = dec.u64();
-      auto& list = which == 0 ? solver.interpolants_.mutable_unsat(key)
-                              : solver.interpolants_.mutable_barren(key);
-      const std::uint32_t len = dec.u32();
-      list.reserve(len);
-      for (std::uint32_t j = 0; j < len; ++j) list.push_back(decode_core(dec));
-    }
-  }
-  solver.interpolant_location_ = dec.u64();
 }
 
 // --- Engine population + searcher position --------------------------------

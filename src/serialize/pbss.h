@@ -30,7 +30,9 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-inline constexpr std::uint32_t kPbssVersion = 1;
+/// Bumped whenever the payload layout changes; an image of any other
+/// version is rejected, never migrated (DESIGN.md §11).
+inline constexpr std::uint32_t kPbssVersion = 2;
 
 /// What kind of campaign the payload holds.
 enum class SnapshotFlavor : std::uint32_t {

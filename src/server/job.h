@@ -59,7 +59,7 @@ enum class JobState : std::uint8_t {
 const char* job_state_name(JobState state);
 
 /// Point-in-time progress of a job, streamed to subscribers after every
-/// slice and embedded in the persisted metadata.
+/// slice and persisted with the record.
 struct JobProgress {
   std::uint64_t ticks = 0;       // campaign clock
   std::uint64_t covered = 0;     // basic blocks covered
@@ -68,7 +68,6 @@ struct JobProgress {
   std::uint64_t test_cases = 0;  // generated test cases
 
   Json to_json() const;
-  static JobProgress from_json(const Json& j);
 };
 
 /// The scheduler-owned record. `snapshot` is empty until the first slice
@@ -94,10 +93,9 @@ struct JobRecord {
   /// a slice lost to a worker death is never charged (DESIGN.md §13).
   std::map<std::string, std::uint64_t> counters;
 
-  /// Persisted metadata (job-<id>.json next to job-<id>.pbss); `snapshot`
-  /// itself is not embedded — it is the sibling pbss file.
+  /// Metadata as reported to clients (status/list replies); `snapshot`
+  /// itself is not embedded, only whether one exists.
   Json meta_json() const;
-  static JobRecord from_meta_json(const Json& j);
 
   /// Binary wire form: the full record INCLUDING the raw snapshot bytes,
   /// for pbsf kJobAssign/kJobResult/kJobRecord payloads and single-file

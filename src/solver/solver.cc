@@ -37,9 +37,6 @@ struct SolverIds {
   obs::MetricId search_sat = obs::intern_metric("solver.search_sat");
   obs::MetricId search_unsat = obs::intern_metric("solver.search_unsat");
   obs::MetricId search_unknown = obs::intern_metric("solver.search_unknown");
-  /// UNSAT cores filed into the per-location interpolant table.
-  obs::MetricId interpolants_published =
-      obs::intern_metric("solver.interpolants_published");
   obs::MetricId deferred_eqs = obs::intern_metric("solver.deferred_eqs");
   obs::MetricId deferred_fallback =
       obs::intern_metric("solver.deferred_fallback");
@@ -243,8 +240,8 @@ void Solver::publish_sat(const SliceCtx& ctx, const ModelBytes& model) {
 void Solver::publish_unsat(const SliceCtx& ctx,
                            const std::vector<std::uint64_t>& core) {
   // The one place UNSAT cores leave the pipeline. Every consumer of the
-  // core representation (L1 cex store, shared L2, per-location interpolant
-  // table) is fed here, so the weakening — "the sliced list's sorted
+  // core representation (L1 cex store, shared L2) is fed here, so the
+  // weakening — "the sliced list's sorted
   // mixed hashes stand in for the full path condition" — exists exactly
   // once.
   if (!options_.use_cache || !options_.use_cex_cache) return;
@@ -253,10 +250,6 @@ void Solver::publish_unsat(const SliceCtx& ctx,
     cex_.add_unsat_core(k, core);
     if (options_.shared_cache != nullptr)
       options_.shared_cache->publish_unsat_core(k, core);
-  }
-  if (interpolant_location_ != kNoInterpolantLocation) {
-    interpolants_.add_unsat(interpolant_location_, core);
-    stats_.add(ids().interpolants_published);
   }
 }
 

@@ -28,7 +28,6 @@
 #include "expr/expr.h"
 #include "solver/cache.h"
 #include "solver/constraint_set.h"
-#include "solver/interpolant.h"
 #include "solver/interval.h"
 #include "support/stats.h"
 #include "support/vclock.h"
@@ -120,29 +119,10 @@ class Solver {
   CexStore& cex_store() { return cex_; }
   std::size_t domain_memo_size() const { return domain_memo_.size(); }
 
-  /// No current interpolant location (cores are not filed per-location).
-  static constexpr std::uint64_t kNoInterpolantLocation = ~std::uint64_t{0};
-
-  /// Per-location interpolants derived from the UNSAT cores this solver
-  /// proves. The executor sets the current global basic block before
-  /// issuing branch/validation queries and probes the table at block
-  /// entry; the solver only FILLS it (publish_unsat files each core under
-  /// the location as well as under the touched partitions).
-  InterpolantTable& interpolants() { return interpolants_; }
-  const InterpolantTable& interpolants() const { return interpolants_; }
-
-  /// Sets the global basic block subsequent UNSAT cores are attributed to.
-  /// kNoInterpolantLocation (the default) disables interpolant filing —
-  /// the executor only sets a location when subsumption is enabled, which
-  /// keeps the off-mode solver byte-identical in behavior.
-  void set_interpolant_location(std::uint64_t location) {
-    interpolant_location_ = location;
-  }
-
  private:
-  /// Snapshots the solver's L1 stores (cache_, cex_, domain_memo_,
-  /// interpolants_) — they steer tick charging and control flow, so a
-  /// tick-exact resume must restore them. hint_evaluators_ is NOT
+  /// Snapshots the solver's L1 stores (cache_, cex_, domain_memo_) — they
+  /// steer tick charging and control flow, so a tick-exact resume must
+  /// restore them. hint_evaluators_ is NOT
   /// snapshotted: evaluator memo warmth never affects charging (all
   /// charges use expr_cost / domain sizes), so rebuilding it lazily after
   /// restore is observationally identical.
@@ -213,8 +193,6 @@ class Solver {
   /// list without the query). Entries are only written after a propagation
   /// that did NOT prove UNSAT, so a hit always seeds feasible domains.
   std::unordered_map<std::uint64_t, DomainMemoEntry> domain_memo_;
-  InterpolantTable interpolants_;
-  std::uint64_t interpolant_location_ = kNoInterpolantLocation;
   std::unordered_map<const Assignment*, std::shared_ptr<CachingEvaluator>>
       hint_evaluators_;
 };

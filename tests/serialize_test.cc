@@ -79,6 +79,28 @@ TEST(Pbss, FlavorMismatchCaught) {
   }
 }
 
+TEST(Pbss, OlderVersionRejectedNamingBothVersions) {
+  // Re-stamp a valid frame as version 1 (bytes 4..7, after the magic) and
+  // recompute the footer, so only the version check can reject it.
+  auto framed =
+      serialize::frame_snapshot(SnapshotFlavor::kKlee, some_payload());
+  ASSERT_EQ(serialize::kPbssVersion, 2u);
+  framed[4] = 1;
+  framed[5] = framed[6] = framed[7] = 0;
+  const std::size_t body = framed.size() - 8;
+  const std::uint64_t sum = serialize::fnv1a(framed.data(), body);
+  for (int i = 0; i < 8; ++i)
+    framed[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  try {
+    serialize::unframe_snapshot(framed, SnapshotFlavor::kKlee);
+    FAIL() << "a version-1 snapshot must not decode";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected 2"), std::string::npos) << what;
+  }
+}
+
 TEST(Pbss, TruncatedPayloadDiagnostic) {
   // A syntactically valid frame whose PAYLOAD is cut short exercises the
   // decoder's bounds checks (not just the checksum).

@@ -262,11 +262,11 @@ TEST(Scheduler, ResumeFromMidCheckpointMatchesUninterrupted) {
   }
   ASSERT_NE(mid, nullptr) << "job finished without a mid-run checkpoint";
 
-  // Recovery pass: round-trip the record through its persisted form (meta
-  // JSON + snapshot bytes), resubmit into a FRESH scheduler, finish.
-  JobRecord recovered =
-      JobRecord::from_meta_json(parse_json(mid->record.meta_json().dump()));
-  recovered.snapshot = mid->record.snapshot;
+  // Recovery pass: round-trip the record through its persisted form (the
+  // binary wire encoding a job-<id>.pbsf checkpoint carries, snapshot
+  // bytes included), resubmit into a FRESH scheduler, finish.
+  JobRecord recovered = JobRecord::wire_decode(mid->record.wire_encode());
+  EXPECT_EQ(recovered.snapshot, mid->record.snapshot);
   EXPECT_GT(recovered.run_end_ticks, 0u);
 
   EventLog log2;
@@ -425,96 +425,6 @@ TEST(Server, EndToEndSubmitWaitStatusShutdown) {
     Json bye = Json::object();
     bye.set("cmd", Json::string("shutdown"));
     EXPECT_TRUE(client.request(bye).get_bool("ok", false));
-  }
-  loop.join();
-}
-
-TEST(Server, RecoversInterruptedJobFromStateDir) {
-  // Forge the on-disk aftermath of a crash in the LEGACY (PR 8) layout —
-  // job-<id>.pbss + job-<id>.json with state "running" — and check the
-  // daemon still recovers it, then migrates it to the pbsf layout on its
-  // next checkpoint.
-  JobSpec spec;
-  spec.mode = JobMode::kPbse;
-  spec.target = "readelf";
-  spec.budget_ticks = 200'000;
-  spec.seed_scale = 4;
-  spec.slice_ticks = 50'000;
-
-  SchedulerOptions sched_options;
-  sched_options.workers = 1;
-  EventLog log;
-  Scheduler reference(sched_options, log.fn());
-  std::uint64_t id = reference.submit(spec);
-  reference.wait_idle();
-  reference.stop();
-  JobRecord final_rec;
-  ASSERT_TRUE(reference.query(id, final_rec));
-  ASSERT_EQ(final_rec.state, JobState::kDone) << final_rec.error;
-
-  const JobEvent* mid = nullptr;
-  for (const JobEvent& ev : log.events) {
-    if (ev.kind == JobEvent::Kind::kCheckpoint &&
-        ev.record.state == JobState::kCheckpointed) {
-      mid = &ev;
-      break;
-    }
-  }
-  ASSERT_NE(mid, nullptr);
-
-  TempServerDir tmp("srv_recover");
-  ServerOptions options;
-  options.socket_path = tmp.path("serve.sock");
-  options.state_dir = tmp.path("state");
-  options.scheduler.workers = 1;
-  std::filesystem::create_directories(options.state_dir);
-
-  JobRecord crashed = mid->record;
-  crashed.state = JobState::kRunning;  // died mid-slice
-  serialize::write_file_atomic(
-      options.state_dir + "/job-" + std::to_string(id) + ".pbss",
-      crashed.snapshot);
-  {
-    std::string meta = crashed.meta_json().dump();
-    std::string path =
-        options.state_dir + "/job-" + std::to_string(id) + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(meta.data(), 1, meta.size(), f), meta.size());
-    std::fclose(f);
-  }
-
-  Server server(options);
-  server.start();
-  EXPECT_EQ(server.recovered_jobs(), 1u);
-  std::thread loop([&server] { server.serve_forever(); });
-  {
-    Client client = Client::connect_unix(options.socket_path);
-    Json done = client.wait(id);
-    EXPECT_EQ(done.get_string("event", ""), "done");
-    EXPECT_EQ(done.get("progress").get_u64("ticks", 0),
-              final_rec.progress.ticks);
-    EXPECT_EQ(done.get("progress").get_u64("covered", 0),
-              final_rec.progress.covered);
-    EXPECT_EQ(done.get("progress").get_u64("bugs", 0),
-              final_rec.progress.bugs);
-
-    // The re-persisted final checkpoint is in the CURRENT layout (one pbsf
-    // frame; the legacy pair was migrated away) and its snapshot matches
-    // the uninterrupted run's.
-    std::vector<std::uint8_t> payload;
-    ASSERT_EQ(serialize::decode_frame(
-                  serialize::read_file(options.state_dir + "/job-" +
-                                       std::to_string(id) + ".pbsf"),
-                  payload),
-              serialize::FrameKind::kJobRecord);
-    EXPECT_EQ(JobRecord::wire_decode(payload).snapshot, final_rec.snapshot);
-    EXPECT_FALSE(std::filesystem::exists(options.state_dir + "/job-" +
-                                         std::to_string(id) + ".json"));
-
-    Json bye = Json::object();
-    bye.set("cmd", Json::string("shutdown"));
-    client.request(bye);
   }
   loop.join();
 }
