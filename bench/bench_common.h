@@ -94,20 +94,18 @@ inline BenchConfig parse_args(int argc, char** argv) {
   return config;
 }
 
-/// Builds a fresh module for a Table III-ordered target by driver name.
-inline ir::Module build_by_driver(const std::string& driver) {
-  for (const auto& t : targets::all_targets()) {
-    if (t.driver == driver) return targets::build_target(t.source());
+inline const targets::TargetInfo& target_by_driver(const std::string& driver) {
+  const targets::TargetInfo* info = targets::find_target(driver);
+  if (info == nullptr) {
+    std::fprintf(stderr, "unknown target driver: %s\n", driver.c_str());
+    std::abort();
   }
-  std::fprintf(stderr, "unknown target driver: %s\n", driver.c_str());
-  std::abort();
+  return *info;
 }
 
-inline const targets::TargetInfo& target_by_driver(const std::string& driver) {
-  for (const auto& t : targets::all_targets())
-    if (t.driver == driver) return t;
-  std::fprintf(stderr, "unknown target driver: %s\n", driver.c_str());
-  std::abort();
+/// Builds a fresh module for a Table III-ordered target by driver name.
+inline ir::Module build_by_driver(const std::string& driver) {
+  return targets::build_target(target_by_driver(driver).source());
 }
 
 inline void print_header(const char* title) {

@@ -55,6 +55,15 @@ FrameKind decode_frame(const std::vector<std::uint8_t>& framed,
     got |= std::uint64_t{framed[framed.size() - kFooterBytes + i]} << (8 * i);
   if (want != got)
     throw SnapshotError("pbsf: checksum mismatch (frame corrupted)");
+  switch (static_cast<FrameKind>(kind)) {
+    case FrameKind::kJobAssign:
+    case FrameKind::kJobResult:
+    case FrameKind::kHeartbeat:
+    case FrameKind::kJobRecord:
+      break;
+    default:
+      throw SnapshotError("pbsf: unknown frame kind " + std::to_string(kind));
+  }
   payload.assign(framed.begin() + kHeaderBytes,
                  framed.end() - kFooterBytes);
   return static_cast<FrameKind>(kind);

@@ -27,20 +27,20 @@ namespace pbse::serialize {
 
 inline constexpr std::uint32_t kPbsfVersion = 1;
 
-/// What the payload holds. Values are wire format — never renumber.
+/// What the payload holds. Values are wire format — never renumber. Value 4
+/// is retired and stays reserved; decode_frame rejects it like any other
+/// unknown kind.
 enum class FrameKind : std::uint32_t {
   /// Daemon -> worker: one wire-encoded JobRecord plus slice parameters;
   /// "run one slice of this".
   kJobAssign = 1,
   /// Worker -> daemon: the wire-encoded JobRecord after the slice, plus
-  /// worker-side bookkeeping (peak RSS, optional cache export).
+  /// worker-side bookkeeping (failure flag and message, done flag, peak
+  /// RSS).
   kJobResult = 2,
   /// Worker -> daemon: liveness beacon while a slice is computing. Empty
   /// payload.
   kHeartbeat = 3,
-  /// Daemon -> worker at registration: portable solver-cache seed (the
-  /// startup L2 export; see campaign_codec.h export_unsat_cores).
-  kCacheSeed = 4,
   /// A persisted checkpoint (job-<id>.pbsf in the state directory) or a
   /// `fetch` reply: one wire-encoded JobRecord including its snapshot.
   kJobRecord = 5,
@@ -50,8 +50,9 @@ enum class FrameKind : std::uint32_t {
 std::vector<std::uint8_t> encode_frame(FrameKind kind,
                                        const std::vector<std::uint8_t>& payload);
 
-/// Validates framing and checksum, returns the kind and fills `payload`.
-/// Throws SnapshotError on any corruption or version mismatch.
+/// Validates framing, checksum and kind, returns the kind and fills
+/// `payload`. Throws SnapshotError on any corruption, version mismatch or
+/// unknown kind.
 FrameKind decode_frame(const std::vector<std::uint8_t>& framed,
                        std::vector<std::uint8_t>& payload);
 

@@ -1,8 +1,24 @@
 #include "server/job.h"
 
 #include "serialize/pbss.h"
+#include "targets/targets.h"
 
 namespace pbse::server {
+
+namespace {
+
+/// Reads optional count field `key` and checks it lies in [1, max] as a
+/// full u64, so a value past 2^32 cannot wrap into range.
+std::uint32_t bounded_u32(const Json& j, const char* key,
+                          std::uint32_t fallback, std::uint32_t max) {
+  const std::uint64_t v = j.get_u64(key, fallback);
+  if (v == 0 || v > max)
+    throw ProtocolError(std::string("job ") + key + " must be in [1, " +
+                        std::to_string(max) + "], got " + std::to_string(v));
+  return static_cast<std::uint32_t>(v);
+}
+
+}  // namespace
 
 const char* job_mode_name(JobMode mode) {
   return mode == JobMode::kKlee ? "klee" : "pbse";
@@ -47,8 +63,8 @@ JobSpec JobSpec::from_json(const Json& j) {
   std::string searcher = j.get_string("searcher", "default");
   if (!search::parse_searcher_kind(searcher, spec.searcher))
     throw ProtocolError("unknown searcher '" + searcher + "'");
-  spec.sym_size = static_cast<std::uint32_t>(j.get_u64("sym_size", 100));
-  spec.seed_scale = static_cast<std::uint32_t>(j.get_u64("seed_scale", 4));
+  spec.sym_size = bounded_u32(j, "sym_size", 100, targets::kMaxSymSize);
+  spec.seed_scale = bounded_u32(j, "seed_scale", 4, targets::kMaxSeedScale);
   spec.slice_ticks = j.get_u64("slice_ticks", 0);
   return spec;
 }

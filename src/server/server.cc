@@ -68,15 +68,12 @@ void Server::start() {
   bind_sockets();
   scheduler_ = std::make_unique<Scheduler>(
       options_.scheduler, [this](const JobEvent& ev) { on_scheduler_event(ev); });
-  if (!options_.worker_cache_seed_path.empty())
-    cache_seed_ = serialize::read_file(options_.worker_cache_seed_path);
   if (options_.worker_processes > 0) {
     WorkerPoolOptions po;
     po.processes = options_.worker_processes;
     po.endpoint = options_.endpoint;
     po.max_rss_mb = options_.worker_rss_mb;
     po.worker_exe = options_.worker_exe;
-    po.cache_seed = cache_seed_;
     pool_ = std::make_unique<WorkerPool>(std::move(po), *scheduler_);
     pool_->start();
   }
@@ -352,7 +349,6 @@ void Server::adopt_worker(Client& client) {
   auto endpoint = std::make_unique<SocketEndpoint>(
       fd, "tcp:" + std::to_string(n), options_.endpoint,
       &scheduler_->frame_bytes_counter(), &remote_peak_rss_kb_);
-  if (!cache_seed_.empty()) endpoint->send_cache_seed(cache_seed_);
   scheduler_->add_external_worker(std::move(endpoint));
 }
 

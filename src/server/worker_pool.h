@@ -76,11 +76,6 @@ class SocketEndpoint : public SliceEndpoint {
                          bool static_analysis, bool& done,
                          std::string& error) override;
 
-  /// Ships a kCacheSeed frame (CampaignCodec::export_unsat_cores payload)
-  /// the worker applies to every campaign it materializes. Returns false
-  /// if the transport failed.
-  bool send_cache_seed(const std::vector<std::uint8_t>& seed);
-
  private:
   int fd_ = -1;
   std::string name_;
@@ -97,8 +92,6 @@ struct WorkerPoolOptions {
   /// Path to the pbse-worker executable; empty = sibling of the running
   /// binary (/proc/self/exe's directory).
   std::string worker_exe;
-  /// Optional portable solver-cache seed sent to every worker at spawn.
-  std::vector<std::uint8_t> cache_seed;
 };
 
 class WorkerPool {

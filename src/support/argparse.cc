@@ -19,7 +19,7 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
 }
 
 bool parse_positive_count(const std::string& flag, const std::string& value,
-                          unsigned& out, std::string& error) {
+                          unsigned& out, std::string& error, unsigned max) {
   std::uint64_t v = 0;
   if (!parse_u64(value, v)) {
     error = flag + " expects a positive integer, got '" + value + "'";
@@ -29,8 +29,9 @@ bool parse_positive_count(const std::string& flag, const std::string& value,
     error = flag + " must be at least 1, got 0";
     return false;
   }
-  if (v > std::numeric_limits<unsigned>::max()) {
-    error = flag + " value " + value + " is out of range";
+  if (v > max) {
+    error = flag + " must be at most " + std::to_string(max) + ", got " +
+            value;
     return false;
   }
   out = static_cast<unsigned>(v);

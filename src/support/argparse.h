@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace pbse::support {
@@ -17,11 +18,12 @@ namespace pbse::support {
 /// digits (no sign, no whitespace, no trailing junk, no overflow).
 bool parse_u64(const std::string& text, std::uint64_t& out);
 
-/// Parses a positive (>= 1) count flag value such as `--jobs=N` or
-/// `--workers=N`. On failure returns false and fills `error` with a
-/// one-line diagnostic that names `flag`.
+/// Parses a count flag value such as `--jobs=N` or `--workers=N` in
+/// [1, max]. On failure returns false and fills `error` with a one-line
+/// diagnostic that names `flag`.
 bool parse_positive_count(const std::string& flag, const std::string& value,
-                          unsigned& out, std::string& error);
+                          unsigned& out, std::string& error,
+                          unsigned max = std::numeric_limits<unsigned>::max());
 
 /// Same strictness for u64-valued flags (tick budgets, intervals) with an
 /// inclusive minimum.

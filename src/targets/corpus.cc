@@ -42,4 +42,10 @@ const std::vector<TargetInfo>& all_targets() {
   return *targets;
 }
 
+const TargetInfo* find_target(const std::string& driver) {
+  for (const TargetInfo& t : all_targets())
+    if (t.driver == driver) return &t;
+  return nullptr;
+}
+
 }  // namespace pbse::targets

@@ -67,4 +67,17 @@ struct TargetInfo {
 /// All targets, in the paper's Table III order.
 const std::vector<TargetInfo>& all_targets();
 
+/// The target whose driver name is `driver`, or nullptr. Callers report
+/// an unknown name in their own way.
+const TargetInfo* find_target(const std::string& driver);
+
+// --- Input-size caps ---------------------------------------------------------
+// Every entry point (the pbse CLI, pbse-client submit, JobSpec::from_json)
+// accepts seed scales and symbolic file sizes in [1, cap]. Larger values
+// only exhaust memory in the seed generator or the symbolic file; the
+// largest scale any bench uses is 96 and the largest size 10000.
+
+inline constexpr unsigned kMaxSeedScale = 1024;
+inline constexpr unsigned kMaxSymSize = 1u << 20;  // 1 MiB
+
 }  // namespace pbse::targets

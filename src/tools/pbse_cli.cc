@@ -54,9 +54,11 @@ int usage() {
                "  <target> for klee/run: driver name, comma-list, or 'all'\n"
                "  --searcher=dfs|bfs|random-state|random-path|covnew|md2u|"
                "sink-directed|default\n"
-               "  --sym-size=N   symbolic file size for 'klee' (default 1000)\n"
+               "  --sym-size=N   symbolic file size for 'klee' (default 1000,\n"
+               "                 at most 1048576)\n"
                "  --budget=T     tick budget (default 1000000)\n"
-               "  --seed-scale=K seed generator scale (default 6)\n"
+               "  --seed-scale=K seed generator scale (default 6, at most "
+               "1024)\n"
                "  --jobs=N       worker threads for multi-target campaigns\n"
                "  --no-share-cache  per-campaign private solver caches\n"
                "  --no-subsumption  disable barren-interpolant state "
@@ -95,14 +97,15 @@ bool parse_args(int argc, char** argv, Args& args) {
     if (const char* v = value_of("--searcher=")) {
       if (!search::parse_searcher_kind(v, args.searcher)) return false;
     } else if (const char* v = value_of("--sym-size=")) {
-      if (!support::parse_positive_count("--sym-size", v, args.sym_size, error))
+      if (!support::parse_positive_count("--sym-size", v, args.sym_size, error,
+                                         targets::kMaxSymSize))
         return reject();
     } else if (const char* v = value_of("--budget=")) {
       if (!support::parse_u64_flag("--budget", v, 1, args.budget, error))
         return reject();
     } else if (const char* v = value_of("--seed-scale=")) {
       if (!support::parse_positive_count("--seed-scale", v, args.seed_scale,
-                                         error))
+                                         error, targets::kMaxSeedScale))
         return reject();
     } else if (const char* v = value_of("--jobs=")) {
       if (!support::parse_positive_count("--jobs", v, args.jobs, error))
@@ -126,11 +129,11 @@ bool parse_args(int argc, char** argv, Args& args) {
 }
 
 const targets::TargetInfo* find_target(const std::string& driver) {
-  for (const auto& t : targets::all_targets())
-    if (t.driver == driver) return &t;
-  std::fprintf(stderr, "unknown target '%s'; try 'pbse list'\n",
-               driver.c_str());
-  return nullptr;
+  const targets::TargetInfo* info = targets::find_target(driver);
+  if (info == nullptr)
+    std::fprintf(stderr, "unknown target '%s'; try 'pbse list'\n",
+                 driver.c_str());
+  return info;
 }
 
 std::string format_bugs(const vm::Executor& executor) {

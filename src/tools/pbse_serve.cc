@@ -41,9 +41,6 @@ int usage() {
       "  --max-requeues=N  give up on a job after N lost slices "
       "(default 3)\n"
       "  --worker-rss-mb=N RLIMIT_AS per worker process (default off)\n"
-      "  --worker-cache-seed=FILE  UNSAT-core seed shipped to every\n"
-      "                    worker (pbse-client export-cores output;\n"
-      "                    opt-in: changes tick charging)\n"
       "  --worker-exe=PATH pbse-worker binary (default: sibling)\n"
       "  --slice=TICKS     default slice length (default 50000)\n"
       "  --checkpoint-interval=TICKS  min ticks between persisted\n"
@@ -136,8 +133,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pbse-serve: %s\n", error.c_str());
         return usage();
       }
-    } else if (const char* v = value_of("--worker-cache-seed=")) {
-      options.worker_cache_seed_path = v;
     } else if (const char* v = value_of("--worker-exe=")) {
       options.worker_exe = v;
     } else if (const char* v = value_of("--slice=")) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/driver.h"
@@ -34,6 +36,7 @@
 #include "server/server.h"
 #include "server/slice_runner.h"
 #include "server/worker_pool.h"
+#include "support/subprocess.h"
 #include "targets/targets.h"
 
 namespace pbse::server {
@@ -133,6 +136,28 @@ TEST(Protocol, JobSpecRoundTripAndValidation) {
   Json zero_budget = spec.to_json();
   zero_budget.set("budget_ticks", Json::number(std::uint64_t{0}));
   EXPECT_THROW(JobSpec::from_json(zero_budget), ProtocolError);
+}
+
+TEST(Protocol, JobSpecRejectsOutOfRangeSizes) {
+  // A remote client's sizes are range-checked as full u64s: 0, one past
+  // the cap and 2^32+5 (which a u32 cast would have run as 5) all fail.
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"seed_scale", targets::kMaxSeedScale},
+      {"sym_size", targets::kMaxSymSize}};
+  for (const auto& [field, cap] : fields) {
+    for (std::uint64_t bad :
+         {std::uint64_t{0}, cap + 1, (std::uint64_t{1} << 32) + 5}) {
+      Json j = JobSpec{}.to_json();
+      j.set("target", Json::string("readelf"));
+      j.set(field, Json::number(bad));
+      EXPECT_THROW(JobSpec::from_json(j), ProtocolError)
+          << field << "=" << bad;
+    }
+    Json at_cap = JobSpec{}.to_json();
+    at_cap.set("target", Json::string("readelf"));
+    at_cap.set(field, Json::number(cap));
+    EXPECT_NO_THROW(JobSpec::from_json(at_cap)) << field << "=" << cap;
+  }
 }
 
 // --- Scheduler ---------------------------------------------------------------
@@ -759,6 +784,26 @@ TEST(WorkerTier, ProcessWorkersProduceIdenticalSnapshot) {
   EXPECT_EQ(rec.snapshot, reference_record(spec).snapshot);
   EXPECT_GT(scheduler.frame_bytes(), 0u);
   EXPECT_GT(pool.peak_worker_rss_kb(), 0u);
+}
+
+TEST(WorkerTier, WorkerRejectsRetiredFrameKindLikeCorruptFrame) {
+  const std::string worker_exe = sibling_worker_exe();
+  if (worker_exe.empty())
+    GTEST_SKIP() << "pbse-worker binary not found next to the test tree";
+
+  // Frame kind 4 is reserved: a worker sent one reports a bad frame and
+  // exits 1, the same path as a checksum failure, instead of crashing.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  support::Subprocess proc = support::Subprocess::spawn(
+      {worker_exe, "--connect-fd=3", "--heartbeat-ms=500"}, {{sv[1], 3}});
+  ::close(sv[1]);
+  send_frame_bytes(sv[0], serialize::encode_frame(
+                              static_cast<serialize::FrameKind>(4), {1, 2}));
+  ::close(sv[0]);  // a worker that skipped the frame would exit 0 on EOF
+  const int status = proc.wait();
+  ASSERT_TRUE(WIFEXITED(status)) << "worker died with raw status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 TEST(Server, RecoversPbsfCheckpoint) {
